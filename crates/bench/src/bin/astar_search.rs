@@ -79,9 +79,11 @@ fn main() {
     let predictor = Predictor::new(machines::power_like());
     let n = 1000.0;
 
-    let mut opts = SearchOptions::default();
-    opts.max_depth = 2;
-    opts.max_expansions = 120;
+    let mut opts = SearchOptions {
+        max_depth: 2,
+        max_expansions: 120,
+        ..SearchOptions::default()
+    };
     opts.eval_point.insert("n".into(), n);
     let astar = astar_search(&sub, &predictor, &opts);
 

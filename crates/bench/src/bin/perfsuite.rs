@@ -642,7 +642,7 @@ fn bench_server_soak(smoke: bool) -> ServerSoakResult {
 /// target.
 fn run_server_bench(cfg: &Config) -> bool {
     eprintln!(
-        "perfsuite: server soak ({} mode, JSON-lines loop, epoch advance per wave)",
+        "perfsuite: server soak ({} mode, JSON-lines loop, epoch advance per 64 jobs)",
         if cfg.smoke { "smoke" } else { "full" }
     );
     let soak = bench_server_soak(cfg.smoke);
@@ -1556,14 +1556,13 @@ fn bench_simulator(budget: Duration) -> Vec<SimulatorRow> {
         };
         let event_round = || {
             for b in &blocks {
-                let copies: Vec<&BlockIr> = std::iter::repeat(b).take(LOOP_COPIES).collect();
+                let copies: Vec<&BlockIr> = std::iter::repeat_n(b, LOOP_COPIES).collect();
                 black_box(
                     scheduler::simulate_blocks(&machine, copies.iter().copied())
                         .unwrap_or_else(|e| diverged("event-driven", e)),
                 );
             }
-            let big_copies: Vec<&BlockIr> =
-                std::iter::repeat(&big).take(BIG_BLOCK_COPIES).collect();
+            let big_copies: Vec<&BlockIr> = std::iter::repeat_n(&big, BIG_BLOCK_COPIES).collect();
             black_box(
                 scheduler::simulate_blocks(&machine, big_copies.iter().copied())
                     .unwrap_or_else(|e| diverged("event-driven", e)),
@@ -1572,14 +1571,13 @@ fn bench_simulator(budget: Duration) -> Vec<SimulatorRow> {
         };
         let ref_round = || {
             for b in &blocks {
-                let copies: Vec<&BlockIr> = std::iter::repeat(b).take(LOOP_COPIES).collect();
+                let copies: Vec<&BlockIr> = std::iter::repeat_n(b, LOOP_COPIES).collect();
                 black_box(
                     reference::simulate_blocks(&machine, copies.iter().copied())
                         .unwrap_or_else(|e| diverged("cycle-driven", e)),
                 );
             }
-            let big_copies: Vec<&BlockIr> =
-                std::iter::repeat(&big).take(BIG_BLOCK_COPIES).collect();
+            let big_copies: Vec<&BlockIr> = std::iter::repeat_n(&big, BIG_BLOCK_COPIES).collect();
             black_box(
                 reference::simulate_blocks(&machine, big_copies.iter().copied())
                     .unwrap_or_else(|e| diverged("cycle-driven", e)),

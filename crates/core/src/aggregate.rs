@@ -881,8 +881,10 @@ mod tests {
 
     #[test]
     fn unknown_branch_probability_appears() {
-        let mut opts = AggregateOptions::default();
-        opts.branch_tolerance = 0.0;
+        let opts = AggregateOptions {
+            branch_tolerance: 0.0,
+            ..AggregateOptions::default()
+        };
         let c = cost_of(
             "subroutine s(a, n, x)
                real a(n), x
@@ -935,8 +937,10 @@ mod tests {
 
     #[test]
     fn close_branches_simplify_without_probability() {
-        let mut opts = AggregateOptions::default();
-        opts.branch_tolerance = 0.2;
+        let opts = AggregateOptions {
+            branch_tolerance: 0.2,
+            ..AggregateOptions::default()
+        };
         let c = cost_of(
             "subroutine s(a, n, x)
                real a(n), x

@@ -12,7 +12,7 @@
 //! one instead of going home early. Results come back in job order
 //! regardless of worker count or claim interleaving, so callers stay
 //! deterministic, and `workers <= 1` degenerates to the sequential loop
-//! with no thread overhead.
+//! on the calling thread with no thread overhead.
 //!
 //! All workers share one sharded [`TranslationCache`] (repeated shapes
 //! translate once across the whole batch), the process-global sharded
@@ -92,8 +92,12 @@ fn fan_out<J: Sync, R: Send>(
     workers: usize,
     job: impl Fn(&J) -> R + Sync,
 ) -> (Vec<R>, Vec<BatchWorkerStats>) {
-    let workers = workers.max(1).min(jobs.len());
-    if workers <= 1 {
+    // Inline only when the caller asked for one worker: a lone job handed
+    // to a multi-worker batch still runs on a worker thread, so its
+    // allocations land in a worker's malloc arena rather than the
+    // caller's (a server's dispatcher would otherwise grow its own arena
+    // with every one-job wave).
+    if workers <= 1 || jobs.is_empty() {
         // Drain whatever the calling thread accumulated before this batch
         // so the report covers exactly this batch's lookups.
         memo::take_thread_stats();
@@ -106,6 +110,7 @@ fn fan_out<J: Sync, R: Send>(
         };
         return (results, vec![stats]);
     }
+    let workers = workers.min(jobs.len());
     let chunk = chunk_size(jobs.len(), workers);
     let cursor = AtomicUsize::new(0);
     let job = &job;
@@ -289,14 +294,15 @@ mod tests {
             .collect();
         let opts = PredictorOptions::default();
         let cache = Arc::new(TranslationCache::new());
-        let results = predict_batch(&jobs, &opts, &cache, 4);
+        let workers = 4;
+        let results = predict_batch(&jobs, &opts, &cache, workers);
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(cache.len(), ms.len(), "one entry per (machine, program)");
-        // Workers racing on the same first-touch may both translate, so
-        // misses can exceed the entry count but never the hit share.
+        // Workers racing on the same first-touch may each translate it, so
+        // every worker misses at most once per machine.
         assert!(cache.misses() >= ms.len() as u64);
         assert_eq!(cache.hits() + cache.misses(), jobs.len() as u64);
-        assert!(cache.hits() >= (jobs.len() - 2 * ms.len()) as u64);
+        assert!(cache.hits() >= (jobs.len() - workers * ms.len()) as u64);
     }
 
     #[test]

@@ -479,8 +479,10 @@ mod tests {
     #[test]
     fn memory_model_adds_cost() {
         let without = Predictor::new(machines::power_like());
-        let mut opts = PredictorOptions::default();
-        opts.include_memory = true;
+        let opts = PredictorOptions {
+            include_memory: true,
+            ..PredictorOptions::default()
+        };
         let with = Predictor::with_options(machines::power_like(), opts);
         let a = &without.predict_source(AXPY).unwrap()[0];
         let b = &with.predict_source(AXPY).unwrap()[0];
@@ -572,8 +574,10 @@ mod tests {
                 [(m, VarInfo::param(1.0, 1e6))],
             ),
         );
-        let mut opts = PredictorOptions::default();
-        opts.library = Some(lib);
+        let opts = PredictorOptions {
+            library: Some(lib),
+            ..PredictorOptions::default()
+        };
         let p = Predictor::with_options(machines::power_like(), opts);
         let pred = &p
             .predict_source("subroutine s(x, k)\nreal x\ninteger k\ncall work(k)\nend")

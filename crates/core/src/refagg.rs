@@ -347,12 +347,12 @@ mod tests {
         let ref_vars: Vec<_> = reference
             .vars()
             .iter()
-            .map(|(s, i)| (s.clone(), i.clone()))
+            .map(|(s, i)| (s.clone(), *i))
             .collect();
         let opt_vars: Vec<_> = optimized
             .vars()
             .iter()
-            .map(|(s, i)| (s.clone(), i.clone()))
+            .map(|(s, i)| (s.clone(), *i))
             .collect();
         assert_eq!(ref_vars, opt_vars, "tracked unknowns differ");
     }

@@ -729,10 +729,10 @@ mod tests {
     fn intrinsics_parse() {
         let p = parse_ok(&wrap("a(1,1) = sqrt(abs(b(1,1)))"));
         match &p.units[0].body[0] {
-            Stmt::Assign { value, .. } => match value {
-                Expr::Intrinsic { func, .. } => assert_eq!(*func, Intrinsic::Sqrt),
-                _ => panic!(),
-            },
+            Stmt::Assign {
+                value: Expr::Intrinsic { func, .. },
+                ..
+            } => assert_eq!(*func, Intrinsic::Sqrt),
             _ => panic!(),
         }
     }

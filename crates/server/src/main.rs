@@ -7,12 +7,14 @@
 //! Without `--listen`, serves one request stream on stdin/stdout (the
 //! mode `scripts/ci.sh --server-only` and the perfsuite soak drive).
 //! With `--listen HOST:PORT`, accepts TCP connections and serves them
-//! sequentially, sharing one translation cache — and one reclamation
-//! epoch timeline — across connections; each connection is its own
-//! JSON-lines stream ended by the client's shutdown.
+//! concurrently, one thread per connection, sharing one translation
+//! cache — and one reclamation epoch timeline — across connections; each
+//! connection is its own JSON-lines stream ended by the client's
+//! shutdown. The bound address is printed to stderr, so `--listen
+//! 127.0.0.1:0` picks a free port.
 
-use presage_server::{Server, ServerConfig};
-use std::io::{BufReader, Write};
+use presage_server::{Server, ServerConfig, ServerStats};
+use std::io::{BufReader, BufWriter};
 use std::net::TcpListener;
 
 fn usage() -> ! {
@@ -47,41 +49,44 @@ fn main() {
     let mut server = Server::new(config);
     let result = match listen {
         None => {
-            let stdin = std::io::stdin();
+            // `StdinLock` is not `Send`; the server reads on its own thread.
             let stdout = std::io::stdout();
-            server.run(stdin.lock(), &mut stdout.lock())
+            server
+                .run(BufReader::new(std::io::stdin()), &mut stdout.lock())
+                .map(|stats| eprintln!("presage-server: {}", summary(&stats)))
         }
-        Some(addr) => serve_tcp(&mut server, &addr),
+        Some(addr) => serve_tcp(&server, &addr),
     };
-    match result {
-        Ok(stats) => {
-            eprintln!(
-                "presage-server: {} jobs ({} ok, {} failed), {} waves, {} advances, p50 {}us p99 {}us",
-                stats.jobs,
-                stats.ok,
-                stats.failed,
-                stats.waves,
-                stats.advances,
-                stats.latency.p50_us,
-                stats.latency.p99_us,
-            );
-        }
-        Err(e) => {
-            eprintln!("presage-server: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = result {
+        eprintln!("presage-server: {e}");
+        std::process::exit(1);
     }
 }
 
-/// Accepts connections forever, serving each as one JSON-lines stream.
-/// Only a bind failure is fatal: a connection that dies between accept
-/// and setup (reset mid-handshake, dead socket on `peer_addr` or
-/// `try_clone`) is logged and skipped, so one bad client can never take
-/// the daemon down. Under normal operation this never returns.
-fn serve_tcp(server: &mut Server, addr: &str) -> std::io::Result<presage_server::ServerStats> {
+/// The one-line run summary printed to stderr when a stream ends.
+fn summary(stats: &ServerStats) -> String {
+    format!(
+        "{} jobs ({} ok, {} failed), {} waves, {} advances, p50 {}us p99 {}us, queue wait p50 {}us",
+        stats.jobs,
+        stats.ok,
+        stats.failed,
+        stats.waves,
+        stats.advances,
+        stats.latency.p50_us,
+        stats.latency.p99_us,
+        stats.queue_wait.p50_us,
+    )
+}
+
+/// Accepts connections forever, serving each as one JSON-lines stream on
+/// its own thread through a clone of `server`. Only a bind failure is
+/// fatal: a connection that dies between accept and setup (reset
+/// mid-handshake, dead socket on `peer_addr` or `try_clone`) or that
+/// cannot get a thread is logged and dropped, so one bad client can never
+/// take the daemon down. Under normal operation this never returns.
+fn serve_tcp(server: &Server, addr: &str) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
-    eprintln!("presage-server: listening on {addr}");
-    let mut last = presage_server::ServerStats::default();
+    eprintln!("presage-server: listening on {}", listener.local_addr()?);
     for stream in listener.incoming() {
         let stream = match stream {
             Ok(s) => s,
@@ -101,18 +106,21 @@ fn serve_tcp(server: &mut Server, addr: &str) -> std::io::Result<presage_server:
                 continue;
             }
         };
-        let mut writer = stream;
-        match server.run(reader, &mut writer) {
-            Ok(stats) => {
-                eprintln!(
-                    "presage-server: {peer} closed after {} jobs ({} ok)",
-                    stats.jobs, stats.ok
-                );
-                last = stats;
-            }
-            Err(e) => eprintln!("presage-server: {peer}: {e}"),
+        // Detached: the accept loop never ends to join it, so the thread
+        // logs its own outcome.
+        let mut server = server.clone();
+        let spawned = std::thread::Builder::new()
+            .name(format!("conn {peer}"))
+            .spawn(move || {
+                let mut writer = BufWriter::new(stream);
+                match server.run(reader, &mut writer) {
+                    Ok(stats) => eprintln!("presage-server: {peer} closed: {}", summary(&stats)),
+                    Err(e) => eprintln!("presage-server: {peer}: {e}"),
+                }
+            });
+        if let Err(e) = spawned {
+            eprintln!("presage-server: cannot start a connection thread: {e}");
         }
-        let _ = writer.flush();
     }
-    Ok(last)
+    Ok(())
 }

@@ -68,7 +68,7 @@ fn figure7_multi_block_streams_agree() {
     for machine in machines::all() {
         for k in figure7() {
             let block = innermost_block(k.source, &machine);
-            let copies: Vec<&BlockIr> = std::iter::repeat(&block).take(8).collect();
+            let copies: Vec<&BlockIr> = std::iter::repeat_n(&block, 8).collect();
             let event = scheduler::simulate_blocks(&machine, copies.iter().copied()).unwrap();
             let oracle = reference::simulate_blocks(&machine, copies.iter().copied()).unwrap();
             assert_eq!(event, oracle, "{} stream on {}", k.name, machine.name());

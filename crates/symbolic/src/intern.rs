@@ -1030,7 +1030,6 @@ mod tests {
 
     #[test]
     fn slot_arena_bucket_math_is_contiguous() {
-        let mut expect = 0u32;
         for idx in 0..10_000u32 {
             let (k, off) = SlotArena::<u32>::locate(idx);
             if off == 0 && idx > 0 {
@@ -1040,8 +1039,6 @@ mod tests {
                 assert_eq!(poff + 1, FIRST_BUCKET << pk, "idx {idx}");
             }
             assert!(off < FIRST_BUCKET << k, "idx {idx}");
-            expect += 1;
-            let _ = expect;
         }
     }
 

@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn ordering_is_lexicographic() {
-        let mut v = vec![Symbol::new("p"), Symbol::new("a"), Symbol::new("n")];
+        let mut v = [Symbol::new("p"), Symbol::new("a"), Symbol::new("n")];
         v.sort();
         let names: Vec<&str> = v.iter().map(|s| s.name()).collect();
         assert_eq!(names, ["a", "n", "p"]);

@@ -23,7 +23,7 @@ if [ "${1:-}" = "--server-only" ]; then
     echo "== server: stale-L1 + cap-pressure + recycled-slot regressions"
     cargo test -q -p presage-symbolic --test cap_pressure
 
-    echo "== server: malformed-job negatives + wave protocol"
+    echo "== server: malformed-job negatives + wave protocol + concurrent TCP connections"
     cargo test -q -p presage-server
 
     echo "ci: server-only checks passed"
@@ -43,8 +43,8 @@ echo "== workspace: build + test (all crates, warnings denied)"
 cargo build --release --workspace
 cargo test -q --workspace
 
-echo "== lint: cargo clippy (all targets, warnings denied)"
-cargo clippy --release --all-targets -- -D warnings
+echo "== lint: cargo clippy (whole workspace, all targets, warnings denied)"
+cargo clippy --release --workspace --all-targets -- -D warnings
 
 echo "== translation cache: differential proof against the uncached oracle"
 cargo test -q -p presage-core --test translation_cache
