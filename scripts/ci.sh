@@ -1,15 +1,15 @@
 #!/usr/bin/env sh
-# Offline CI for presage: tier-1 build + tests with warnings denied, then
-# a perfsuite smoke pass (placement, end-to-end prediction, and the
-# symbolic engine micro-benchmark on reduced budgets). No network access
-# is required or attempted — the workspace has no external dependencies.
+# Offline CI for presage: tier-1 build + tests with warnings denied, the
+# differential proofs, then one perfsuite run that checks every gate in
+# its table and writes BENCH_perfsuite.json. No network access is
+# required or attempted — the workspace has no external dependencies.
 #
 # Usage: scripts/ci.sh [--server-only]
 #
 # `--server-only` runs just the epoch-reclamation / daemon gate: the
 # perfsuite server soak (footprint ceilings + oracle bit-identity over
-# ≥3 reclaiming epochs, writes BENCH_server.json), the stale-L1 and
-# cap-pressure regressions, and the server's malformed-job negatives.
+# ≥3 reclaiming epochs; writes no file), the stale-L1 and cap-pressure
+# regressions, and the server's malformed-job negatives.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,8 +17,8 @@ cd "$(dirname "$0")/.."
 export RUSTFLAGS="-D warnings"
 
 if [ "${1:-}" = "--server-only" ]; then
-    echo "== server: epoch soak + footprint ceilings + oracle bit-identity (writes BENCH_server.json)"
-    cargo run --release -p presage-bench --bin perfsuite -- --server-only
+    echo "== server: epoch soak + footprint ceilings + oracle bit-identity"
+    cargo run --release -p presage-bench --bin perfsuite -- --only server
 
     echo "== server: stale-L1 + cap-pressure + recycled-slot regressions"
     cargo test -q -p presage-symbolic --test cap_pressure
@@ -66,28 +66,15 @@ echo "== structural canonicalization: normalize-vs-reparse differential + e-grap
 cargo test -q --test normalize_differential
 cargo test -q --test structural_search
 
-echo "== batch scaling: 1..4-worker monotone floor + soak footprint ceilings"
-cargo run --release -p presage-bench --bin perfsuite -- --batch-only
-
 echo "== memory model: differential proof vs the line-counting cache + machine-file negatives"
 cargo test -q --test memcost_differential
 cargo test -q --test machine_files
-
-echo "== memory model: memoized mem_cost floor + memory-vs-compute split (writes BENCH_memory.json)"
-cargo run --release -p presage-bench --bin perfsuite -- --memory-only
-
-echo "== variant search: e-graph vs textual A* floor (full budgets, writes BENCH_search.json)"
-cargo run --release -p presage-bench --bin perfsuite -- --search-only
-
-echo "== server loop: epoch soak, footprint ceilings, oracle bit-identity (writes BENCH_server.json)"
-cargo run --release -p presage-bench --bin perfsuite -- --server-only
 
 echo "== epoch reclamation: differential proof across reclaiming epochs"
 cargo test -q --test epoch_differential
 cargo test -q -p presage-symbolic --test cap_pressure
 
-echo "== perfsuite --smoke (placement + prediction + translation + symbolic + simulator + search + memory)"
-cargo run --release -p presage-bench --bin perfsuite -- --smoke --out BENCH_smoke.json --search-out BENCH_search_smoke.json --memory-out BENCH_memory_smoke.json
-rm -f BENCH_smoke.json BENCH_search_smoke.json BENCH_memory_smoke.json
+echo "== perfsuite: every layer against every gate (writes BENCH_perfsuite.json)"
+cargo run --release -p presage-bench --bin perfsuite
 
 echo "ci: all checks passed"
