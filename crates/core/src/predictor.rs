@@ -82,7 +82,13 @@ pub struct Prediction {
     /// `compute` plus memory stall cycles.
     pub total: PerfExpr,
     /// The translated program (for cost blocks, optimization, rendering).
-    pub ir: ProgramIr,
+    ///
+    /// Shared, not copied: with a [`TranslationCache`] attached this is
+    /// the cache entry's own `Arc`, so every prediction of the same
+    /// `(program, machine)` points at one translation, and evicting the
+    /// entry leaves this one alive. `Deref` makes `&p.ir` read as a
+    /// `&ProgramIr`.
+    pub ir: Arc<ProgramIr>,
 }
 
 impl fmt::Display for Prediction {
@@ -205,7 +211,7 @@ impl Predictor {
     /// Returns semantic or translation errors.
     pub fn predict_subroutine(&self, sub: &Subroutine) -> Result<Prediction, PredictError> {
         let ir = self.translated(sub)?;
-        Ok(self.predict_ir(sub.name.clone(), (*ir).clone()))
+        Ok(self.predict_shared(sub.name.clone(), ir))
     }
 
     /// Predicts one parsed subroutine, returning only the total cost
@@ -340,7 +346,7 @@ impl Predictor {
     /// Assembles a [`Prediction`] from a computed instruction-stream cost:
     /// attaches the cache-line model when the machine declares a cache,
     /// the legacy heuristic when `include_memory` is set, and totals them.
-    fn assemble(&self, name: String, ir: ProgramIr, compute: PerfExpr) -> Prediction {
+    fn assemble(&self, name: String, ir: Arc<ProgramIr>, compute: PerfExpr) -> Prediction {
         let memcost = self
             .machine
             .cache
@@ -367,8 +373,16 @@ impl Predictor {
         }
     }
 
-    /// Predicts an already-translated program.
+    /// Predicts an already-translated program, taking ownership of it:
+    /// the returned [`Prediction::ir`] is a fresh `Arc` around `ir`.
+    /// Source-level predictions skip the move and share the translation
+    /// cache's `Arc` instead.
     pub fn predict_ir(&self, name: String, ir: ProgramIr) -> Prediction {
+        self.predict_shared(name, Arc::new(ir))
+    }
+
+    /// [`Predictor::predict_ir`] on a shared translation.
+    fn predict_shared(&self, name: String, ir: Arc<ProgramIr>) -> Prediction {
         let compute = aggregate(
             &ir,
             &self.machine,
@@ -403,7 +417,6 @@ impl Predictor {
         let mut out = Vec::new();
         for sub in &program.units {
             let ir = self.translated(sub)?;
-            let ir = (*ir).clone();
             let compute = aggregate(&ir, &self.machine, Some(&library), &self.options.aggregate);
             let pred = self.assemble(sub.name.clone(), ir, compute);
             library.insert(sub.name.clone(), sub.params.clone(), pred.total.clone());

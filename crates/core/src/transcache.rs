@@ -129,7 +129,12 @@ impl TranslationCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let symbols = sema::analyze(sub)?;
-        let ir = Arc::new(translate(sub, &symbols, machine)?);
+        // Store a clone: translation grows its vectors by pushing,
+        // interleaved with its scratch tables, while a clone allocates
+        // exact capacities in one compact run. Every prediction of the
+        // program shares the entry and may outlive its eviction, so the
+        // compact copy is what stays resident.
+        let ir = Arc::new(translate(sub, &symbols, machine)?.clone());
         shard
             .lock()
             .unwrap_or_else(|e| e.into_inner())

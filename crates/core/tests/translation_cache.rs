@@ -149,3 +149,30 @@ fn one_cache_is_sound_across_machines() {
         "risc1 and wide8 translations should differ"
     );
 }
+
+/// A warm prediction holds the cache entry's translation, not a copy:
+/// two predictions of the same `(source, machine)` and the entry itself
+/// are one allocation.
+#[test]
+fn warm_predictions_share_the_cached_ir() {
+    let cache = Arc::new(TranslationCache::new());
+    for machine in machines::all() {
+        let predictor = Predictor::new(machine.clone()).with_translation_cache(cache.clone());
+        for src in KERNELS {
+            let first = predictor.predict_source(src).unwrap().remove(0);
+            let second = predictor.predict_source(src).unwrap().remove(0);
+            let sub = &parse(src).unwrap().units[0];
+            let entry = cache.translated(sub, &machine).unwrap();
+            assert!(Arc::ptr_eq(&first.ir, &second.ir), "{}", machine.name());
+            assert!(Arc::ptr_eq(&first.ir, &entry), "{}", machine.name());
+        }
+    }
+    // The interprocedural path shares the same entries.
+    let predictor = Predictor::new(machines::wide8()).with_translation_cache(cache.clone());
+    let inter = predictor
+        .predict_source_interprocedural(KERNELS[0])
+        .unwrap()
+        .remove(0);
+    let warm = predictor.predict_source(KERNELS[0]).unwrap().remove(0);
+    assert!(Arc::ptr_eq(&inter.ir, &warm.ir));
+}

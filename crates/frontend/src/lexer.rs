@@ -1,15 +1,19 @@
 //! Lexer for the mini-Fortran surface language.
 //!
 //! Free-form input; `!` starts a comment; `&` at end of line continues the
-//! statement; keywords and identifiers are case-insensitive and normalized
-//! to lowercase; dot-operators (`.lt.`, `.and.`, …) and their symbolic
-//! forms (`<`, `==`, …) are both accepted.
+//! statement; keywords and identifiers are case-insensitive; dot-operators
+//! (`.lt.`, `.and.`, …) and their symbolic forms (`<`, `==`, …) are both
+//! accepted.
 
 use crate::diag::{FrontendError, Phase};
 use crate::span::Span;
-use crate::token::{Tok, Token};
+use crate::token::{Kw, Tok, Token};
 
 /// Tokenizes `src` into a token stream ending with [`Tok::Eof`].
+///
+/// The token vector is the only allocation: an identifier token is its
+/// span plus a keyword tag (its text stays in `src`, in the source's
+/// case), and dot-operators and real literals are decoded in place.
 ///
 /// # Errors
 ///
@@ -19,11 +23,16 @@ pub fn lex(src: &str) -> Result<Vec<Token>, FrontendError> {
     Lexer::new(src).run()
 }
 
+/// Longest real literal with a `d` exponent decoded without allocating.
+const REAL_BUF: usize = 64;
+
 struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
     line: u32,
-    col: u32,
+    /// Byte offset where the current line starts; columns count bytes
+    /// from there.
+    line_start: usize,
     out: Vec<Token>,
 }
 
@@ -33,8 +42,10 @@ impl<'a> Lexer<'a> {
             src: src.as_bytes(),
             pos: 0,
             line: 1,
-            col: 1,
-            out: Vec::new(),
+            line_start: 0,
+            // Source text averages more than two bytes per token, so one
+            // allocation usually holds the whole stream.
+            out: Vec::with_capacity(src.len() / 2 + 2),
         }
     }
 
@@ -51,15 +62,14 @@ impl<'a> Lexer<'a> {
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+            self.line_start = self.pos;
         }
         c
     }
 
     fn here(&self) -> Span {
-        Span::new(self.pos, self.pos + 1, self.line, self.col)
+        let col = (self.pos - self.line_start + 1) as u32;
+        Span::new(self.pos, self.pos + 1, self.line, col)
     }
 
     fn err(&self, msg: impl Into<String>) -> FrontendError {
@@ -133,14 +143,13 @@ impl<'a> Lexer<'a> {
     fn ident(&mut self) {
         let start = self.pos;
         let span0 = self.here();
+        // No newline inside a name, so the line does not move.
         while matches!(self.peek(), b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_') {
-            self.bump();
+            self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("ASCII identifier")
-            .to_ascii_lowercase();
+        let kw = Kw::lookup(&self.src[start..self.pos]);
         let span = Span::new(start, self.pos, span0.line, span0.col);
-        self.push(Tok::Ident(text), span);
+        self.push(Tok::Ident(kw), span);
     }
 
     fn number(&mut self) -> Result<(), FrontendError> {
@@ -179,8 +188,7 @@ impl<'a> Lexer<'a> {
         let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ASCII number");
         let span = Span::new(start, self.pos, span0.line, span0.col);
         if is_real {
-            let normalized = text.replace(['d', 'D'], "e");
-            let v: f64 = normalized.parse().map_err(|_| {
+            let v = parse_real(text).ok_or_else(|| {
                 FrontendError::new(Phase::Lex, format!("malformed real literal `{text}`"), span)
             })?;
             self.push(Tok::Real(v), span);
@@ -212,30 +220,20 @@ impl<'a> Lexer<'a> {
                 Span::new(start, self.pos, span0.line, span0.col),
             ));
         }
-        let word = std::str::from_utf8(&self.src[word_start..self.pos])
-            .expect("ASCII word")
-            .to_ascii_lowercase();
+        let word = &self.src[word_start..self.pos];
         self.bump(); // the trailing dot
         let span = Span::new(start, self.pos, span0.line, span0.col);
-        let tok = match word.as_str() {
-            "lt" => Tok::Lt,
-            "le" => Tok::Le,
-            "gt" => Tok::Gt,
-            "ge" => Tok::Ge,
-            "eq" => Tok::EqEq,
-            "ne" => Tok::Ne,
-            "and" => Tok::And,
-            "or" => Tok::Or,
-            "not" => Tok::Not,
-            "true" => Tok::True,
-            "false" => Tok::False,
-            _ => {
-                return Err(FrontendError::new(
-                    Phase::Lex,
-                    format!("unknown dot-operator `.{word}.`"),
-                    span,
-                ))
-            }
+        let Some(tok) = DOT_OPERATORS
+            .iter()
+            .find(|(name, _)| name.as_bytes().eq_ignore_ascii_case(word))
+            .map(|&(_, tok)| tok)
+        else {
+            let word = String::from_utf8_lossy(word).to_ascii_lowercase();
+            return Err(FrontendError::new(
+                Phase::Lex,
+                format!("unknown dot-operator `.{word}.`"),
+                span,
+            ));
         };
         self.push(tok, span);
         Ok(())
@@ -307,6 +305,37 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// The dot-operators by their lower-case word.
+const DOT_OPERATORS: [(&str, Tok); 11] = [
+    ("lt", Tok::Lt),
+    ("le", Tok::Le),
+    ("gt", Tok::Gt),
+    ("ge", Tok::Ge),
+    ("eq", Tok::EqEq),
+    ("ne", Tok::Ne),
+    ("and", Tok::And),
+    ("or", Tok::Or),
+    ("not", Tok::Not),
+    ("true", Tok::True),
+    ("false", Tok::False),
+];
+
+/// Decodes a scanned real literal, reading a Fortran `d` exponent as `e`.
+/// The rewrite happens in a stack buffer; only a literal longer than
+/// [`REAL_BUF`] bytes that has a `d` exponent allocates.
+fn parse_real(text: &str) -> Option<f64> {
+    let Some(d) = text.find(['d', 'D']) else {
+        return text.parse().ok();
+    };
+    let mut buf = [0u8; REAL_BUF];
+    let Some(copy) = buf.get_mut(..text.len()) else {
+        return text.replace(['d', 'D'], "e").parse().ok();
+    };
+    copy.copy_from_slice(text.as_bytes());
+    copy[d] = b'e';
+    std::str::from_utf8(copy).ok()?.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,9 +349,9 @@ mod tests {
         assert_eq!(
             kinds("x = a + 1"),
             vec![
-                Tok::Ident("x".into()),
+                Tok::Ident(None),
                 Tok::Assign,
-                Tok::Ident("a".into()),
+                Tok::Ident(None),
                 Tok::Plus,
                 Tok::Int(1),
                 Tok::Newline,
@@ -332,8 +361,22 @@ mod tests {
     }
 
     #[test]
-    fn case_insensitive_idents() {
-        assert_eq!(kinds("DO")[0], Tok::Ident("do".into()));
+    fn keywords_are_tagged_in_any_case() {
+        assert_eq!(kinds("DO")[0], Tok::Ident(Some(Kw::Do)));
+        assert_eq!(kinds("EndDo")[0], Tok::Ident(Some(Kw::EndDo)));
+        assert_eq!(kinds("subroutine")[0], Tok::Ident(Some(Kw::Subroutine)));
+        assert_eq!(kinds("done")[0], Tok::Ident(None));
+        assert_eq!(kinds("d")[0], Tok::Ident(None));
+    }
+
+    #[test]
+    fn identifier_text_is_its_source_span() {
+        let src = "Alpha = beta_2";
+        let toks = lex(src).unwrap();
+        assert_eq!(toks[0].text(src), "Alpha");
+        assert_eq!(toks[2].text(src), "beta_2");
+        assert_eq!(toks[0].shown(src).to_string(), "`alpha`");
+        assert_eq!(toks[1].shown(src).to_string(), "=");
     }
 
     #[test]
@@ -343,6 +386,10 @@ mod tests {
         assert_eq!(kinds("2.5d0")[0], Tok::Real(2.5));
         assert_eq!(kinds("1.5e-2")[0], Tok::Real(0.015));
         assert_eq!(kinds(".5")[0], Tok::Real(0.5));
+        assert_eq!(kinds("3.0D+2")[0], Tok::Real(300.0));
+        let long = format!("{}.5d-70", "1".repeat(80));
+        let want: f64 = long.replace('d', "e").parse().unwrap();
+        assert_eq!(kinds(&long)[0], Tok::Real(want));
     }
 
     #[test]
@@ -375,11 +422,11 @@ mod tests {
         assert_eq!(
             kinds("x = 1 ! set x\ny = 2"),
             vec![
-                Tok::Ident("x".into()),
+                Tok::Ident(None),
                 Tok::Assign,
                 Tok::Int(1),
                 Tok::Newline,
-                Tok::Ident("y".into()),
+                Tok::Ident(None),
                 Tok::Assign,
                 Tok::Int(2),
                 Tok::Newline,
@@ -393,11 +440,11 @@ mod tests {
         assert_eq!(
             kinds("x = a + &\n    b"),
             vec![
-                Tok::Ident("x".into()),
+                Tok::Ident(None),
                 Tok::Assign,
-                Tok::Ident("a".into()),
+                Tok::Ident(None),
                 Tok::Plus,
-                Tok::Ident("b".into()),
+                Tok::Ident(None),
                 Tok::Newline,
                 Tok::Eof
             ]
@@ -427,7 +474,9 @@ mod tests {
 
     #[test]
     fn unknown_dot_operator_errors() {
-        assert!(lex("a .xor. b").is_err());
+        let err = lex("a .XoR. b").unwrap_err();
+        assert_eq!(err.message, "unknown dot-operator `.xor.`");
+        assert_eq!(kinds("a .AND. b")[1], Tok::And);
     }
 
     #[test]
@@ -435,7 +484,7 @@ mod tests {
         let toks = lex("a = 1\nbb = 2").unwrap();
         let bb = toks
             .iter()
-            .find(|t| t.tok == Tok::Ident("bb".into()))
+            .find(|t| t.text("a = 1\nbb = 2") == "bb")
             .unwrap();
         assert_eq!(bb.span.line, 2);
         assert_eq!(bb.span.col, 1);

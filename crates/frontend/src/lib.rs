@@ -57,5 +57,5 @@ mod token;
 pub use ast::{BaseType, BinOp, Decl, DeclVar, Expr, Intrinsic, Program, Stmt, Subroutine, UnOp};
 pub use diag::{FrontendError, Phase};
 pub use lexer::lex;
-pub use parser::parse;
+pub use parser::{parse, MAX_EXPR_DEPTH};
 pub use span::Span;

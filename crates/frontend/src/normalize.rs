@@ -44,6 +44,7 @@
 use crate::ast::{BinOp, Decl, DeclVar, Expr, Intrinsic, Stmt, Subroutine, UnOp};
 use crate::diag::{FrontendError, Phase};
 use crate::fold::{encode_expr, encode_str, fold128, AST_SEED};
+use crate::parser::MAX_EXPR_DEPTH;
 use crate::span::Span;
 use std::collections::{HashMap, HashSet};
 
@@ -688,7 +689,9 @@ fn name_in_use(body: &[Stmt], name: &str) -> bool {
 /// * no `do` variable is named `while` (that header re-parses as a
 ///   `do while`);
 /// * numeric literals re-lex: reals are finite (no `inf`/`NaN` token)
-///   and `i64::MIN` does not appear (its magnitude overflows re-lexing).
+///   and `i64::MIN` does not appear (its magnitude overflows re-lexing);
+/// * no expression's re-emitted text is deeper than
+///   [`MAX_EXPR_DEPTH`], the parser's limit.
 ///
 /// # Errors
 ///
@@ -723,8 +726,31 @@ fn check_name(name: &str, what: &str, span: Span) -> Result<(), FrontendError> {
     }
 }
 
+/// Checks one statement-level expression: every node re-lexes, and the
+/// depth its re-emitted text parses at is within [`MAX_EXPR_DEPTH`].
 fn check_expr(e: &Expr, span: Span) -> Result<(), FrontendError> {
-    match e {
+    if check_node(e, span)? > MAX_EXPR_DEPTH {
+        return Err(FrontendError::new(
+            Phase::Parse,
+            format!("expression re-parses deeper than the limit of {MAX_EXPR_DEPTH} levels"),
+            span,
+        ));
+    }
+    Ok(())
+}
+
+/// Checks that every node of `e` re-lexes and returns the depth the
+/// parser assigns to `e`'s `Display` text (see [`MAX_EXPR_DEPTH`]). That
+/// text parenthesizes every operator node, so `(l op r)` sits two levels
+/// above its deeper operand and `(-x)` two above `x`. A negative literal
+/// prints as a prefix minus (depth 2), which binds looser than `**`:
+/// `(-3 ** r)` re-parses as `(-(3 ** r))`, three levels above `r`.
+fn check_node(e: &Expr, span: Span) -> Result<u32, FrontendError> {
+    let deepest = |args: &[Expr]| -> Result<u32, FrontendError> {
+        args.iter()
+            .try_fold(0, |d, a| Ok(d.max(check_node(a, span)?)))
+    };
+    Ok(match e {
         Expr::IntLit(n) => {
             if *n == i64::MIN {
                 return Err(FrontendError::new(
@@ -732,6 +758,11 @@ fn check_expr(e: &Expr, span: Span) -> Result<(), FrontendError> {
                     "integer literal magnitude overflows re-lexing".to_string(),
                     span,
                 ));
+            }
+            if *n < 0 {
+                2
+            } else {
+                1
             }
         }
         Expr::RealLit(x) => {
@@ -742,27 +773,41 @@ fn check_expr(e: &Expr, span: Span) -> Result<(), FrontendError> {
                     span,
                 ));
             }
+            if x.is_sign_negative() {
+                2
+            } else {
+                1
+            }
         }
-        Expr::LogicalLit(_) => {}
-        Expr::Var(name) => check_name(name, "variable", span)?,
+        Expr::LogicalLit(_) => 1,
+        Expr::Var(name) => {
+            check_name(name, "variable", span)?;
+            1
+        }
         Expr::ArrayRef { name, indices } => {
             check_name(name, "array", span)?;
-            for i in indices {
-                check_expr(i, span)?;
+            deepest(indices)? + 1
+        }
+        Expr::Unary { operand, .. } => check_node(operand, span)? + 2,
+        Expr::Binary { op, lhs, rhs } => {
+            let l = check_node(lhs, span)?;
+            let r = check_node(rhs, span)?;
+            if *op == BinOp::Pow && is_negative_literal(lhs) {
+                r + 3
+            } else {
+                l.max(r) + 2
             }
         }
-        Expr::Unary { operand, .. } => check_expr(operand, span)?,
-        Expr::Binary { lhs, rhs, .. } => {
-            check_expr(lhs, span)?;
-            check_expr(rhs, span)?;
-        }
-        Expr::Intrinsic { args, .. } => {
-            for a in args {
-                check_expr(a, span)?;
-            }
-        }
+        Expr::Intrinsic { args, .. } => deepest(args)? + 1,
+    })
+}
+
+fn is_negative_literal(e: &Expr) -> bool {
+    match e {
+        Expr::IntLit(n) => *n < 0,
+        Expr::RealLit(x) => x.is_sign_negative(),
+        _ => false,
     }
-    Ok(())
 }
 
 fn check_stmts(body: &[Stmt]) -> Result<(), FrontendError> {

@@ -1,16 +1,36 @@
 //! Recursive-descent parser for the mini-Fortran language.
+//!
+//! The parser walks the token vector by index. Tokens are `Copy` and carry
+//! no text, so the only allocations are the AST's own: its nodes, its
+//! vectors, and one lower-cased `String` per name it keeps.
 
 use crate::ast::*;
 use crate::diag::{FrontendError, Phase};
 use crate::lexer::lex;
 use crate::span::Span;
-use crate::token::{Tok, Token};
+use crate::token::{Kw, Tok, Token};
+
+/// The deepest expression [`parse`] accepts.
+///
+/// An atom (literal, variable) has depth 1. Each operator node, prefix
+/// operator, parenthesis pair and argument list adds one level on top of
+/// its deepest operand, so `((x))`, `-(-x)`, `x + x + x` and `f(g(x))`
+/// have depths 3, 4, 3 and 3. Nesting and long left-deep chains both
+/// count, which bounds the recursion of the parser and of every later
+/// walk over the tree (sema, translation, hashing, dropping). At this
+/// limit a prediction still fits a 2 MiB thread stack in a debug build;
+/// there, parenthesis nesting is the deepest shape and overflows at about
+/// 400 levels.
+/// [`crate::normalize::validate_emittable`] applies the same limit to the
+/// depth a subroutine's re-emitted source would parse at.
+pub const MAX_EXPR_DEPTH: u32 = 256;
 
 /// Parses a full program.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
+/// Returns the first lexical or syntactic error encountered, including
+/// an expression deeper than [`MAX_EXPR_DEPTH`].
 ///
 /// # Examples
 ///
@@ -30,62 +50,83 @@ use crate::token::{Tok, Token};
 /// ```
 pub fn parse(src: &str) -> Result<Program, FrontendError> {
     let toks = lex(src)?;
-    Parser { toks, pos: 0 }.program()
+    Parser {
+        src,
+        toks,
+        pos: 0,
+        nest: 0,
+    }
+    .program()
 }
 
-struct Parser {
+/// An expression and its depth (see [`MAX_EXPR_DEPTH`]).
+type Sub = (Expr, u32);
+
+type PResult<T> = Result<T, FrontendError>;
+
+struct Parser<'a> {
+    src: &'a str,
     toks: Vec<Token>,
     pos: usize,
+    /// Expression constructs open around the current position: parentheses,
+    /// prefix operators, argument lists and `**` exponents. Each adds a
+    /// level to the expression being parsed, so this is a lower bound on
+    /// its depth, and it stops the recursion at the limit.
+    nest: u32,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+impl Parser<'_> {
+    fn peek(&self) -> Tok {
+        self.toks[self.pos].tok
     }
 
     fn span(&self) -> Span {
         self.toks[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos].clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn err(&self, msg: impl Into<String>) -> FrontendError {
         FrontendError::new(Phase::Parse, msg, self.span())
     }
 
-    fn expect(&mut self, tok: Tok) -> Result<Token, FrontendError> {
-        if *self.peek() == tok {
-            Ok(self.bump())
+    /// The current token as diagnostics quote it.
+    fn found(&self) -> impl std::fmt::Display + '_ {
+        self.toks[self.pos].shown(self.src)
+    }
+
+    fn expect(&mut self, tok: Tok) -> PResult<()> {
+        if self.peek() == tok {
+            self.bump();
+            Ok(())
         } else {
-            Err(self.err(format!("expected {tok}, found {}", self.peek())))
+            Err(self.err(format!("expected {tok}, found {}", self.found())))
         }
     }
 
-    /// Consumes an identifier token, returning its text.
-    fn ident(&mut self) -> Result<(String, Span), FrontendError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                let sp = self.span();
-                self.bump();
-                Ok((s, sp))
-            }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+    /// Consumes an identifier token (keyword-tagged or not), returning its
+    /// lower-cased text: the one allocation a name costs.
+    fn ident(&mut self) -> PResult<String> {
+        let t = self.toks[self.pos];
+        if let Tok::Ident(_) = t.tok {
+            self.bump();
+            Ok(t.text(self.src).to_ascii_lowercase())
+        } else {
+            Err(self.err(format!("expected identifier, found {}", self.found())))
         }
     }
 
     /// Returns `true` (without consuming) if the next token is the keyword.
-    fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+    fn at_kw(&self, kw: Kw) -> bool {
+        self.peek() == Tok::Ident(Some(kw))
     }
 
     /// Consumes the keyword if present.
-    fn eat_kw(&mut self, kw: &str) -> bool {
+    fn eat_kw(&mut self, kw: Kw) -> bool {
         if self.at_kw(kw) {
             self.bump();
             true
@@ -94,35 +135,39 @@ impl Parser {
         }
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<(), FrontendError> {
+    fn expect_kw(&mut self, kw: Kw) -> PResult<()> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(self.err(format!("expected `{kw}`, found {}", self.peek())))
+            Err(self.err(format!(
+                "expected `{}`, found {}",
+                kw.as_str(),
+                self.found()
+            )))
         }
     }
 
     fn skip_newlines(&mut self) {
-        while *self.peek() == Tok::Newline {
+        while self.peek() == Tok::Newline {
             self.bump();
         }
     }
 
-    fn end_of_stmt(&mut self) -> Result<(), FrontendError> {
+    fn end_of_stmt(&mut self) -> PResult<()> {
         match self.peek() {
             Tok::Newline => {
                 self.bump();
                 Ok(())
             }
             Tok::Eof => Ok(()),
-            other => Err(self.err(format!("expected end of statement, found {other}"))),
+            _ => Err(self.err(format!("expected end of statement, found {}", self.found()))),
         }
     }
 
-    fn program(&mut self) -> Result<Program, FrontendError> {
+    fn program(&mut self) -> PResult<Program> {
         let mut units = Vec::new();
         self.skip_newlines();
-        while *self.peek() != Tok::Eof {
+        while self.peek() != Tok::Eof {
             units.push(self.subroutine()?);
             self.skip_newlines();
         }
@@ -132,18 +177,17 @@ impl Parser {
         Ok(Program { units })
     }
 
-    fn subroutine(&mut self) -> Result<Subroutine, FrontendError> {
+    fn subroutine(&mut self) -> PResult<Subroutine> {
         let start = self.span();
-        self.expect_kw("subroutine")?;
-        let (name, _) = self.ident()?;
+        self.expect_kw(Kw::Subroutine)?;
+        let name = self.ident()?;
         let mut params = Vec::new();
-        if *self.peek() == Tok::LParen {
+        if self.peek() == Tok::LParen {
             self.bump();
-            if *self.peek() != Tok::RParen {
+            if self.peek() != Tok::RParen {
                 loop {
-                    let (p, _) = self.ident()?;
-                    params.push(p);
-                    if *self.peek() == Tok::Comma {
+                    params.push(self.ident()?);
+                    if self.peek() == Tok::Comma {
                         self.bump();
                     } else {
                         break;
@@ -156,15 +200,15 @@ impl Parser {
         self.skip_newlines();
 
         let mut decls = Vec::new();
-        while self.at_type_keyword() {
-            decls.push(self.decl()?);
+        while let Some(ty) = self.type_keyword() {
+            decls.push(self.decl(ty)?);
             self.skip_newlines();
         }
 
         let body = self.stmts()?;
-        self.expect_kw("end")?;
+        self.expect_kw(Kw::End)?;
         // Accept `end`, `end subroutine`, `end subroutine name`.
-        if self.eat_kw("subroutine") {
+        if self.eat_kw(Kw::Subroutine) {
             if let Tok::Ident(_) = self.peek() {
                 self.bump();
             }
@@ -179,28 +223,29 @@ impl Parser {
         })
     }
 
-    fn at_type_keyword(&self) -> bool {
-        self.at_kw("integer") || self.at_kw("real") || self.at_kw("logical")
+    /// The base type the next token declares, if it is a type keyword.
+    fn type_keyword(&self) -> Option<BaseType> {
+        match self.peek() {
+            Tok::Ident(Some(Kw::Integer)) => Some(BaseType::Integer),
+            Tok::Ident(Some(Kw::Real)) => Some(BaseType::Real),
+            Tok::Ident(Some(Kw::Logical)) => Some(BaseType::Logical),
+            _ => None,
+        }
     }
 
-    fn decl(&mut self) -> Result<Decl, FrontendError> {
+    /// A declaration line whose type keyword is the next token.
+    fn decl(&mut self, ty: BaseType) -> PResult<Decl> {
         let span = self.span();
-        let (kw, _) = self.ident()?;
-        let ty = match kw.as_str() {
-            "integer" => BaseType::Integer,
-            "real" => BaseType::Real,
-            "logical" => BaseType::Logical,
-            _ => unreachable!("guarded by at_type_keyword"),
-        };
+        self.bump();
         let mut vars = Vec::new();
         loop {
-            let (name, _) = self.ident()?;
+            let name = self.ident()?;
             let mut dims = Vec::new();
-            if *self.peek() == Tok::LParen {
+            if self.peek() == Tok::LParen {
                 self.bump();
                 loop {
                     dims.push(self.expr()?);
-                    if *self.peek() == Tok::Comma {
+                    if self.peek() == Tok::Comma {
                         self.bump();
                     } else {
                         break;
@@ -209,7 +254,7 @@ impl Parser {
                 self.expect(Tok::RParen)?;
             }
             vars.push(DeclVar { name, dims });
-            if *self.peek() == Tok::Comma {
+            if self.peek() == Tok::Comma {
                 self.bump();
             } else {
                 break;
@@ -220,62 +265,53 @@ impl Parser {
     }
 
     /// Parses statements until an `end`/`else`/`enddo`/`endif` keyword.
-    fn stmts(&mut self) -> Result<Vec<Stmt>, FrontendError> {
+    fn stmts(&mut self) -> PResult<Vec<Stmt>> {
         let mut out = Vec::new();
         loop {
             self.skip_newlines();
-            if *self.peek() == Tok::Eof
-                || self.at_kw("end")
-                || self.at_kw("enddo")
-                || self.at_kw("endif")
-                || self.at_kw("else")
-            {
+            if matches!(
+                self.peek(),
+                Tok::Eof | Tok::Ident(Some(Kw::End | Kw::EndDo | Kw::EndIf | Kw::Else))
+            ) {
                 return Ok(out);
             }
             out.push(self.stmt()?);
         }
     }
 
-    fn stmt(&mut self) -> Result<Stmt, FrontendError> {
-        if self.at_kw("do") {
-            self.do_stmt()
-        } else if self.at_kw("if") {
-            self.if_stmt()
-        } else if self.at_kw("call") {
-            self.call_stmt()
-        } else if self.at_kw("return") {
-            let span = self.span();
-            self.bump();
-            self.end_of_stmt()?;
-            Ok(Stmt::Return { span })
-        } else {
-            self.assign_stmt()
+    fn stmt(&mut self) -> PResult<Stmt> {
+        match self.peek() {
+            Tok::Ident(Some(Kw::Do)) => self.do_stmt(),
+            Tok::Ident(Some(Kw::If)) => self.if_stmt(),
+            Tok::Ident(Some(Kw::Call)) => self.call_stmt(),
+            Tok::Ident(Some(Kw::Return)) => {
+                let span = self.span();
+                self.bump();
+                self.end_of_stmt()?;
+                Ok(Stmt::Return { span })
+            }
+            _ => self.assign_stmt(),
         }
     }
 
-    fn do_stmt(&mut self) -> Result<Stmt, FrontendError> {
+    fn do_stmt(&mut self) -> PResult<Stmt> {
         let span = self.span();
-        self.expect_kw("do")?;
-        if self.at_kw("while") {
-            self.bump();
+        self.expect_kw(Kw::Do)?;
+        if self.eat_kw(Kw::While) {
             self.expect(Tok::LParen)?;
             let cond = self.expr()?;
             self.expect(Tok::RParen)?;
             self.end_of_stmt()?;
             let body = self.stmts()?;
-            if !self.eat_kw("enddo") {
-                self.expect_kw("end")?;
-                self.expect_kw("do")?;
-            }
-            self.end_of_stmt()?;
+            self.end_do()?;
             return Ok(Stmt::DoWhile { cond, body, span });
         }
-        let (var, _) = self.ident()?;
+        let var = self.ident()?;
         self.expect(Tok::Assign)?;
         let lb = self.expr()?;
         self.expect(Tok::Comma)?;
         let ub = self.expr()?;
-        let step = if *self.peek() == Tok::Comma {
+        let step = if self.peek() == Tok::Comma {
             self.bump();
             Some(self.expr()?)
         } else {
@@ -283,13 +319,7 @@ impl Parser {
         };
         self.end_of_stmt()?;
         let body = self.stmts()?;
-        if self.eat_kw("enddo") {
-            // one-word form
-        } else {
-            self.expect_kw("end")?;
-            self.expect_kw("do")?;
-        }
-        self.end_of_stmt()?;
+        self.end_do()?;
         Ok(Stmt::Do {
             var,
             lb,
@@ -300,13 +330,22 @@ impl Parser {
         })
     }
 
-    fn if_stmt(&mut self) -> Result<Stmt, FrontendError> {
+    /// `enddo` or `end do`, then the end of the statement.
+    fn end_do(&mut self) -> PResult<()> {
+        if !self.eat_kw(Kw::EndDo) {
+            self.expect_kw(Kw::End)?;
+            self.expect_kw(Kw::Do)?;
+        }
+        self.end_of_stmt()
+    }
+
+    fn if_stmt(&mut self) -> PResult<Stmt> {
         let span = self.span();
-        self.expect_kw("if")?;
+        self.expect_kw(Kw::If)?;
         self.expect(Tok::LParen)?;
         let cond = self.expr()?;
         self.expect(Tok::RParen)?;
-        if self.eat_kw("then") {
+        if self.eat_kw(Kw::Then) {
             self.end_of_stmt()?;
             self.if_tail(cond, span)
         } else {
@@ -323,19 +362,19 @@ impl Parser {
 
     /// Parses the body of a block `if` after its `then` line, handling
     /// `else if` chains that share a single `end if` terminator.
-    fn if_tail(&mut self, cond: Expr, span: Span) -> Result<Stmt, FrontendError> {
+    fn if_tail(&mut self, cond: Expr, span: Span) -> PResult<Stmt> {
         let then_body = self.stmts()?;
         let mut else_body = Vec::new();
-        if self.eat_kw("else") {
-            if self.at_kw("if") {
+        if self.eat_kw(Kw::Else) {
+            if self.at_kw(Kw::If) {
                 // `else if (...) then`: continues the same construct; the
                 // recursive tail consumes the shared `end if`.
                 let span2 = self.span();
-                self.expect_kw("if")?;
+                self.expect_kw(Kw::If)?;
                 self.expect(Tok::LParen)?;
                 let cond2 = self.expr()?;
                 self.expect(Tok::RParen)?;
-                self.expect_kw("then")?;
+                self.expect_kw(Kw::Then)?;
                 self.end_of_stmt()?;
                 else_body.push(self.if_tail(cond2, span2)?);
                 return Ok(Stmt::If {
@@ -348,9 +387,9 @@ impl Parser {
             self.end_of_stmt()?;
             else_body = self.stmts()?;
         }
-        if !self.eat_kw("endif") {
-            self.expect_kw("end")?;
-            self.expect_kw("if")?;
+        if !self.eat_kw(Kw::EndIf) {
+            self.expect_kw(Kw::End)?;
+            self.expect_kw(Kw::If)?;
         }
         self.end_of_stmt()?;
         Ok(Stmt::If {
@@ -361,32 +400,22 @@ impl Parser {
         })
     }
 
-    fn call_stmt(&mut self) -> Result<Stmt, FrontendError> {
+    fn call_stmt(&mut self) -> PResult<Stmt> {
         let span = self.span();
-        self.expect_kw("call")?;
-        let (name, _) = self.ident()?;
+        self.expect_kw(Kw::Call)?;
+        let name = self.ident()?;
         let mut args = Vec::new();
-        if *self.peek() == Tok::LParen {
+        if self.peek() == Tok::LParen {
             self.bump();
-            if *self.peek() != Tok::RParen {
-                loop {
-                    args.push(self.expr()?);
-                    if *self.peek() == Tok::Comma {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            self.expect(Tok::RParen)?;
+            args = self.args()?.0;
         }
         self.end_of_stmt()?;
         Ok(Stmt::Call { name, args, span })
     }
 
-    fn assign_stmt(&mut self) -> Result<Stmt, FrontendError> {
+    fn assign_stmt(&mut self) -> PResult<Stmt> {
         let span = self.span();
-        let target = self.primary()?;
+        let (target, _) = self.primary()?;
         match &target {
             Expr::Var(_) | Expr::ArrayRef { .. } => {}
             other => return Err(self.err(format!("cannot assign to `{other}`"))),
@@ -401,168 +430,194 @@ impl Parser {
         })
     }
 
-    // --- expressions, lowest precedence first -------------------------------
+    // --- expressions: precedence climbing over the levels below ---------
 
-    fn expr(&mut self) -> Result<Expr, FrontendError> {
-        self.or_expr()
+    /// One whole expression of a statement.
+    fn expr(&mut self) -> PResult<Expr> {
+        Ok(self.expr_from(OR)?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.and_expr()?;
-        while *self.peek() == Tok::Or {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::binary(BinOp::Or, lhs, rhs);
+    /// Runs `parse` one construct deeper (inside a parenthesis, a prefix
+    /// operator, an argument list or an exponent), failing before the
+    /// recursion passes the depth limit.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        // The innermost operand adds at least one more level.
+        if self.nest + 1 >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
         }
-        Ok(lhs)
+        self.nest += 1;
+        let out = parse(self);
+        self.nest -= 1;
+        out
     }
 
-    fn and_expr(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.not_expr()?;
-        while *self.peek() == Tok::And {
-            self.bump();
-            let rhs = self.not_expr()?;
-            lhs = Expr::binary(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr, FrontendError> {
-        if *self.peek() == Tok::Not {
-            self.bump();
-            let operand = self.not_expr()?;
-            Ok(Expr::unary(UnOp::Not, operand))
+    /// The depth of a node one level above `depth`, within the limit.
+    fn deeper(&self, depth: u32) -> PResult<u32> {
+        if depth >= MAX_EXPR_DEPTH {
+            Err(self.too_deep())
         } else {
-            self.rel_expr()
+            Ok(depth + 1)
         }
     }
 
-    fn rel_expr(&mut self) -> Result<Expr, FrontendError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            Tok::Lt => BinOp::Lt,
-            Tok::Le => BinOp::Le,
-            Tok::Gt => BinOp::Gt,
-            Tok::Ge => BinOp::Ge,
-            Tok::EqEq => BinOp::Eq,
-            Tok::Ne => BinOp::Ne,
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(Expr::binary(op, lhs, rhs))
+    fn too_deep(&self) -> FrontendError {
+        self.err(format!(
+            "expression nested deeper than the limit of {MAX_EXPR_DEPTH} levels"
+        ))
     }
 
-    fn add_expr(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, FrontendError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, FrontendError> {
-        match self.peek() {
-            Tok::Minus => {
+    /// An expression whose operators all sit at level `min` or tighter.
+    ///
+    /// The grammar, loosest first: `.or.`, `.and.` (both left-associative),
+    /// prefix `.not.` (its operand stops before `.and.`), one
+    /// non-associative relation, `+ -`, `* /` (left-associative), prefix
+    /// `-`/`+` (its operand stops before `*`), then `primary ** operand`
+    /// with a right-associative exponent that may carry a prefix sign.
+    fn expr_from(&mut self, min: u8) -> PResult<Sub> {
+        // `ceiling`: the tightest level that may still extend `lhs`.
+        let (mut lhs, mut depth, mut ceiling) = match self.peek() {
+            Tok::Not if min <= NOT => {
                 self.bump();
-                let operand = self.unary_expr()?;
-                Ok(Expr::unary(UnOp::Neg, operand))
+                let (operand, d) = self.nested(|p| p.expr_from(NOT))?;
+                (Expr::unary(UnOp::Not, operand), self.deeper(d)?, AND)
             }
-            Tok::Plus => {
+            sign @ (Tok::Minus | Tok::Plus) if min <= SIGN => {
                 self.bump();
-                self.unary_expr()
-            }
-            _ => self.pow_expr(),
-        }
-    }
-
-    fn pow_expr(&mut self) -> Result<Expr, FrontendError> {
-        let base = self.primary()?;
-        if *self.peek() == Tok::StarStar {
-            self.bump();
-            // `**` is right-associative; `a ** -b` is accepted.
-            let exp = self.unary_expr()?;
-            Ok(Expr::binary(BinOp::Pow, base, exp))
-        } else {
-            Ok(base)
-        }
-    }
-
-    fn primary(&mut self) -> Result<Expr, FrontendError> {
-        match self.peek().clone() {
-            Tok::Int(n) => {
-                self.bump();
-                Ok(Expr::IntLit(n))
-            }
-            Tok::Real(x) => {
-                self.bump();
-                Ok(Expr::RealLit(x))
-            }
-            Tok::True => {
-                self.bump();
-                Ok(Expr::LogicalLit(true))
-            }
-            Tok::False => {
-                self.bump();
-                Ok(Expr::LogicalLit(false))
-            }
-            Tok::LParen => {
-                self.bump();
-                let inner = self.expr()?;
-                self.expect(Tok::RParen)?;
-                Ok(inner)
-            }
-            Tok::Ident(name) => {
-                self.bump();
-                if *self.peek() == Tok::LParen {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if *self.peek() != Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if *self.peek() == Tok::Comma {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(Tok::RParen)?;
-                    if let Some(func) = Intrinsic::from_name(&name) {
-                        Ok(Expr::Intrinsic { func, args })
-                    } else {
-                        Ok(Expr::ArrayRef {
-                            name,
-                            indices: args,
-                        })
-                    }
+                let (operand, d) = self.nested(|p| p.expr_from(SIGN))?;
+                let e = if sign == Tok::Minus {
+                    Expr::unary(UnOp::Neg, operand)
                 } else {
-                    Ok(Expr::Var(name))
+                    operand
+                };
+                (e, self.deeper(d)?, POW)
+            }
+            _ => {
+                let (e, d) = self.primary()?;
+                (e, d, POW)
+            }
+        };
+        while let Some((op, level)) = infix(self.peek()) {
+            if level < min || level > ceiling {
+                break;
+            }
+            self.bump();
+            let (rhs, d) = if op == BinOp::Pow {
+                self.nested(|p| p.expr_from(SIGN))?
+            } else {
+                self.expr_from(level + 1)?
+            };
+            depth = self.deeper(depth.max(d))?;
+            lhs = Expr::binary(op, lhs, rhs);
+            // The operand took every tighter operator, so only this level
+            // or looser ones may follow; relations do not chain at all.
+            ceiling = ceiling.min(if level == REL { AND } else { level });
+        }
+        Ok((lhs, depth))
+    }
+
+    /// An argument list after its `(`, through the closing `)`, with the
+    /// depth of its deepest argument (0 when empty).
+    fn args(&mut self) -> PResult<(Vec<Expr>, u32)> {
+        let mut args = Vec::new();
+        let mut depth = 0;
+        if self.peek() != Tok::RParen {
+            loop {
+                let (e, d) = self.expr_from(OR)?;
+                args.push(e);
+                depth = depth.max(d);
+                if self.peek() == Tok::Comma {
+                    self.bump();
+                } else {
+                    break;
                 }
             }
-            other => Err(self.err(format!("expected expression, found {other}"))),
         }
+        self.expect(Tok::RParen)?;
+        Ok((args, depth))
     }
+
+    fn primary(&mut self) -> PResult<Sub> {
+        let t = self.toks[self.pos];
+        let atom = match t.tok {
+            Tok::Int(n) => Expr::IntLit(n),
+            Tok::Real(x) => Expr::RealLit(x),
+            Tok::True => Expr::LogicalLit(true),
+            Tok::False => Expr::LogicalLit(false),
+            Tok::LParen => {
+                self.bump();
+                let (inner, d) = self.nested(|p| p.expr_from(OR))?;
+                self.expect(Tok::RParen)?;
+                return Ok((inner, self.deeper(d)?));
+            }
+            Tok::Ident(_) => {
+                self.bump();
+                return self.named(t);
+            }
+            _ => return Err(self.err(format!("expected expression, found {}", self.found()))),
+        };
+        self.bump();
+        Ok((atom, 1))
+    }
+
+    /// A variable, array reference or intrinsic call whose name token `t`
+    /// was just consumed. Kept out of [`Self::primary`] so the frames of
+    /// the parenthesis recursion stay small.
+    fn named(&mut self, t: Token) -> PResult<Sub> {
+        let text = t.text(self.src);
+        if self.peek() != Tok::LParen {
+            return Ok((Expr::Var(text.to_ascii_lowercase()), 1));
+        }
+        self.bump();
+        let (args, d) = self.nested(Self::args)?;
+        let e = match intrinsic_named(text) {
+            Some(func) => Expr::Intrinsic { func, args },
+            None => Expr::ArrayRef {
+                name: text.to_ascii_lowercase(),
+                indices: args,
+            },
+        };
+        Ok((e, self.deeper(d)?))
+    }
+}
+
+// Binding levels, loosest first (see `Parser::expr_from`).
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+const REL: u8 = 4;
+const ADD: u8 = 5;
+const MUL: u8 = 6;
+const SIGN: u8 = 7;
+const POW: u8 = 8;
+
+/// The binary operator a token spells, with its level.
+fn infix(tok: Tok) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::Or => (BinOp::Or, OR),
+        Tok::And => (BinOp::And, AND),
+        Tok::Lt => (BinOp::Lt, REL),
+        Tok::Le => (BinOp::Le, REL),
+        Tok::Gt => (BinOp::Gt, REL),
+        Tok::Ge => (BinOp::Ge, REL),
+        Tok::EqEq => (BinOp::Eq, REL),
+        Tok::Ne => (BinOp::Ne, REL),
+        Tok::Plus => (BinOp::Add, ADD),
+        Tok::Minus => (BinOp::Sub, ADD),
+        Tok::Star => (BinOp::Mul, MUL),
+        Tok::Slash => (BinOp::Div, MUL),
+        Tok::StarStar => (BinOp::Pow, POW),
+        _ => return None,
+    })
+}
+
+/// The intrinsic an identifier names, matched without regard to case and
+/// without allocating (every intrinsic name fits the buffer).
+fn intrinsic_named(text: &str) -> Option<Intrinsic> {
+    let mut buf = [0u8; 8];
+    let lower = buf.get_mut(..text.len())?;
+    lower.copy_from_slice(text.as_bytes());
+    lower.make_ascii_lowercase();
+    Intrinsic::from_name(std::str::from_utf8(lower).ok()?)
 }
 
 #[cfg(test)]
@@ -770,5 +825,82 @@ mod tests {
     #[test]
     fn empty_program_rejected() {
         assert!(parse("\n\n").is_err());
+    }
+
+    /// `y = <expr>` in a subroutine that declares `x` and `y`.
+    fn assign(expr: &str) -> String {
+        format!("subroutine s(x, y)\nreal x, y\ny = {expr}\nend")
+    }
+
+    /// The three shapes that once overflowed the stack, at depth `d`.
+    fn shapes(d: usize) -> [(&'static str, String); 3] {
+        let n = d - 1;
+        [
+            ("parens", format!("{}x{}", "(".repeat(n), ")".repeat(n))),
+            ("prefix minus", format!("{}x", "-".repeat(n))),
+            ("left-deep chain", format!("x{}", "+x".repeat(n))),
+        ]
+    }
+
+    fn depth_error(src: &str) -> FrontendError {
+        let err = parse(src).expect_err("too deep");
+        assert_eq!(err.phase, Phase::Parse);
+        assert!(
+            err.message
+                .contains(&format!("limit of {MAX_EXPR_DEPTH} levels")),
+            "{err}"
+        );
+        err
+    }
+
+    #[test]
+    fn depth_counts_levels_as_documented() {
+        let depth = |e: &str| {
+            let src = format!("{e}\n");
+            let toks = lex(&src).unwrap();
+            let mut p = Parser {
+                src: &src,
+                toks,
+                pos: 0,
+                nest: 0,
+            };
+            p.expr_from(OR).unwrap().1
+        };
+        assert_eq!(depth("x"), 1);
+        assert_eq!(depth("((x))"), 3);
+        assert_eq!(depth("-(-x)"), 4);
+        assert_eq!(depth("x + x + x"), 3);
+        assert_eq!(depth("f(g(x))"), 3);
+        assert_eq!(depth("a ** b ** c"), 3);
+        assert_eq!(depth(".not. x .and. y"), 3);
+        assert_eq!(depth("f()"), 1);
+    }
+
+    #[test]
+    fn expressions_at_the_depth_limit_parse() {
+        for (shape, e) in shapes(MAX_EXPR_DEPTH as usize) {
+            assert!(parse(&assign(&e)).is_ok(), "{shape}");
+        }
+    }
+
+    #[test]
+    fn expressions_past_the_depth_limit_are_rejected() {
+        for (shape, e) in shapes(MAX_EXPR_DEPTH as usize + 1) {
+            let err = depth_error(&assign(&e));
+            assert_eq!(err.span.line, 3, "{shape}: {err}");
+        }
+    }
+
+    #[test]
+    fn hostile_depths_are_rejected_without_exhausting_the_stack() {
+        const N: usize = 100_000;
+        let mut hostile: Vec<String> = shapes(N).into_iter().map(|(_, e)| e).collect();
+        hostile.push(format!("{}x", ".not. ".repeat(N)));
+        hostile.push(format!("x{}", " ** x".repeat(N)));
+        hostile.push(format!("{}x{}", "f(".repeat(N), ")".repeat(N)));
+        hostile.push(format!("{}x", "+".repeat(N)));
+        for e in hostile {
+            depth_error(&assign(&e));
+        }
     }
 }

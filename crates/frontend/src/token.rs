@@ -1,13 +1,101 @@
 //! Tokens of the mini-Fortran surface language.
+//!
+//! A token carries no text: an identifier is its [`Span`] into the source
+//! plus a keyword tag decided once by the lexer, so lexing allocates
+//! nothing but the token vector. The parser reads an identifier's text
+//! back out of the source when it builds an AST node.
 
 use crate::span::Span;
 use std::fmt;
 
+/// The keywords of the language. Keywords are not reserved: the lexer tags
+/// every identifier spelled like one (in any case), and the parser treats
+/// a tagged identifier as a keyword only where a keyword may stand. Any
+/// identifier position accepts a tagged one as a plain name.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Kw {
+    /// `subroutine`
+    Subroutine,
+    /// `end`
+    End,
+    /// `integer`
+    Integer,
+    /// `real`
+    Real,
+    /// `logical`
+    Logical,
+    /// `do`
+    Do,
+    /// `while`
+    While,
+    /// `enddo`
+    EndDo,
+    /// `if`
+    If,
+    /// `then`
+    Then,
+    /// `else`
+    Else,
+    /// `endif`
+    EndIf,
+    /// `call`
+    Call,
+    /// `return`
+    Return,
+}
+
+impl Kw {
+    const ALL: [Kw; 14] = [
+        Kw::Subroutine,
+        Kw::End,
+        Kw::Integer,
+        Kw::Real,
+        Kw::Logical,
+        Kw::Do,
+        Kw::While,
+        Kw::EndDo,
+        Kw::If,
+        Kw::Then,
+        Kw::Else,
+        Kw::EndIf,
+        Kw::Call,
+        Kw::Return,
+    ];
+
+    /// The lower-case spelling.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Kw::Subroutine => "subroutine",
+            Kw::End => "end",
+            Kw::Integer => "integer",
+            Kw::Real => "real",
+            Kw::Logical => "logical",
+            Kw::Do => "do",
+            Kw::While => "while",
+            Kw::EndDo => "enddo",
+            Kw::If => "if",
+            Kw::Then => "then",
+            Kw::Else => "else",
+            Kw::EndIf => "endif",
+            Kw::Call => "call",
+            Kw::Return => "return",
+        }
+    }
+
+    /// The keyword an identifier spells, ignoring ASCII case.
+    pub fn lookup(word: &[u8]) -> Option<Kw> {
+        Kw::ALL
+            .into_iter()
+            .find(|kw| kw.as_str().as_bytes().eq_ignore_ascii_case(word))
+    }
+}
+
 /// A lexical token kind.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Tok {
-    /// Identifier or keyword (lower-cased; keyword-ness decided by parser).
-    Ident(String),
+    /// Identifier, tagged with the keyword it spells (if any). Its text is
+    /// the token's span of the source, in the source's case.
+    Ident(Option<Kw>),
     /// Integer literal.
     Int(i64),
     /// Real literal.
@@ -58,10 +146,13 @@ pub enum Tok {
     Eof,
 }
 
+/// Prints a non-identifier token as diagnostics quote it. Identifiers need
+/// their source text; see [`Token::shown`].
 impl fmt::Display for Tok {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Tok::Ident(s) => write!(f, "`{s}`"),
+            Tok::Ident(Some(kw)) => write!(f, "`{}`", kw.as_str()),
+            Tok::Ident(None) => f.write_str("identifier"),
             Tok::Int(n) => write!(f, "{n}"),
             Tok::Real(x) => write!(f, "{x}"),
             Tok::Plus => f.write_str("+"),
@@ -91,10 +182,41 @@ impl fmt::Display for Tok {
 }
 
 /// A token paired with its source span.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Token {
     /// The token kind and payload.
     pub tok: Tok,
     /// Where it came from.
     pub span: Span,
+}
+
+impl Token {
+    /// The token's source text (`src` must be the source it was lexed from).
+    pub fn text<'a>(&self, src: &'a str) -> &'a str {
+        &src[self.span.start..self.span.end]
+    }
+
+    /// The token as diagnostics quote it: identifiers print their
+    /// lower-cased text in backquotes, other tokens as [`Tok`] prints them.
+    pub fn shown<'a>(&self, src: &'a str) -> impl fmt::Display + 'a {
+        Shown { token: *self, src }
+    }
+}
+
+struct Shown<'a> {
+    token: Token,
+    src: &'a str,
+}
+
+impl fmt::Display for Shown<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Tok::Ident(_) = self.token.tok else {
+            return self.token.tok.fmt(f);
+        };
+        f.write_str("`")?;
+        for c in self.token.text(self.src).chars() {
+            fmt::Write::write_char(f, c.to_ascii_lowercase())?;
+        }
+        f.write_str("`")
+    }
 }

@@ -830,6 +830,37 @@ mod tests {
     }
 
     #[test]
+    fn too_deep_expressions_fail_alone() {
+        // 10^5 nested parentheses, prefix minuses and a 10^5-term chain:
+        // each a `frontend` error naming the depth limit, never a stack
+        // overflow, and the good job queued behind them is still served.
+        let n = 100_000;
+        let deep = [
+            format!("{}x{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}x", "-".repeat(n)),
+            format!("x{}", "+x".repeat(n)),
+        ];
+        let mut input = String::new();
+        for e in &deep {
+            input.push_str(&format!(
+                "{{\"machine\": \"power-like\", \"source\": \"subroutine s(x, y)\\nreal x, y\\ny = {e}\\nend\"}}\n"
+            ));
+        }
+        input.push_str(&format!(
+            "{{\"machine\": \"power-like\", \"source\": \"{AXPY}\"}}\n"
+        ));
+        let (lines, stats) = serve(&input, ServerConfig::default());
+        for line in &lines[..3] {
+            assert_eq!(line.get("kind").and_then(Json::as_str), Some("frontend"));
+            let error = line.get("error").and_then(Json::as_str).unwrap();
+            let limit = format!("limit of {} levels", presage_frontend::MAX_EXPR_DEPTH);
+            assert!(error.contains(&limit), "{error}");
+        }
+        assert_eq!(lines[3].get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!((stats.ok, stats.failed), (1, 3));
+    }
+
+    #[test]
     fn missing_fields_are_parse_errors() {
         let (lines, _) = serve(
             "{\"machine\": \"power-like\"}\n{\"source\": \"x\"}\n",

@@ -46,6 +46,11 @@ cargo test -q --workspace
 echo "== lint: cargo clippy (whole workspace, all targets, warnings denied)"
 cargo clippy --release --workspace --all-targets -- -D warnings
 
+echo "== front end: golden output, allocation gate, expression-depth limit"
+cargo test -q --test frontend_golden
+cargo test -q -p presage-frontend --test alloc
+cargo test -q --test depth_limit
+
 echo "== translation cache: differential proof against the uncached oracle"
 cargo test -q -p presage-core --test translation_cache
 

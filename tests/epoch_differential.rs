@@ -8,7 +8,7 @@
 //! reclaimed polynomial or block id ever leaked through a memo table into
 //! a later wave, some prediction here would diverge from its oracle.
 
-use presage::core::predictor::{Predictor, PredictorOptions};
+use presage::core::predictor::{Prediction, Predictor, PredictorOptions};
 use presage::core::transcache::TranslationCache;
 use presage::machine::{machines, MachineDesc};
 use presage::symbolic::epoch;
@@ -66,6 +66,11 @@ fn predictions_stay_bit_identical_across_reclaiming_epochs() {
     let cache = Arc::new(TranslationCache::new());
     let mut advances = 0u64;
     let mut reclaimed = 0usize;
+    let mut evicted = 0usize;
+    let mut orphaned = 0usize;
+    // The previous wave's predictions, held across the advance that may
+    // evict their translations from the cache.
+    let mut held: Vec<(usize, usize, Prediction)> = Vec::new();
     for wave in 0..WAVES {
         let slice = &programs[wave * PER_WAVE..(wave + 1) * PER_WAVE];
         let jobs: Vec<(&MachineDesc, &str)> = slice
@@ -86,11 +91,38 @@ fn predictions_stay_bit_identical_across_reclaiming_epochs() {
         let report = epoch::advance();
         advances += 1;
         reclaimed += report.total_reclaimed();
+        evicted += cache.evict_older_than(report.retire_before);
+        // An evicted translation lives on in the predictions holding it:
+        // it still equals a fresh translation and still costs the same.
+        for (prog_idx, machine_idx, p) in &held {
+            // Evicted, so this prediction is the translation's last owner.
+            orphaned += usize::from(Arc::strong_count(&p.ir) == 1);
+            let fresh = &Predictor::new(machines[*machine_idx].clone())
+                .predict_source(&programs[*prog_idx])
+                .unwrap()[0];
+            assert_eq!(*p.ir, *fresh.ir, "held IR of program {prog_idx} diverged");
+            let again = Predictor::new(machines[*machine_idx].clone()).predict_cost(&p.ir);
+            assert_eq!(
+                again.to_string(),
+                oracle[*prog_idx][*machine_idx],
+                "held IR of program {prog_idx} re-costs differently after {advances} advances"
+            );
+        }
+        held = results
+            .into_iter()
+            .enumerate()
+            .map(|(j, r)| {
+                let p = r.unwrap().remove(0);
+                (wave * PER_WAVE + j / machines.len(), j % machines.len(), p)
+            })
+            .collect();
     }
     assert!(
         advances >= 3,
         "the differential must span at least 3 epochs"
     );
+    assert!(evicted > 0, "no translation was evicted");
+    assert!(orphaned > 0, "no held prediction outlived its cache entry");
     assert!(
         reclaimed > 0,
         "no reclamation happened — the differential proved nothing"

@@ -487,3 +487,65 @@ fn commuted_operands_share_a_structural_key_and_a_cost() {
         }
     }
 }
+
+/// The validator applies the parser's expression-depth limit to the text
+/// a subroutine re-emits as: at tree depths around the limit, in every
+/// shape whose printed form nests differently (operator chains, prefix
+/// operators, negative literals under `**`, argument lists), the
+/// validator accepts exactly the ASTs whose re-emitted source parses.
+#[test]
+fn validator_applies_the_parser_depth_limit() {
+    use presage::frontend::ast::{Intrinsic, UnOp};
+    use presage::frontend::MAX_EXPR_DEPTH;
+
+    let x = || Expr::Var("x".into());
+    type Wrap = fn(Expr) -> Expr;
+    let shapes: [(&str, Wrap); 6] = [
+        ("sum chain", |e| {
+            Expr::binary(BinOp::Add, e, Expr::Var("x".into()))
+        }),
+        ("negation", |e| Expr::unary(UnOp::Neg, e)),
+        ("negative base under **", |e| {
+            Expr::binary(BinOp::Pow, Expr::IntLit(-2), e)
+        }),
+        ("negative exponent", |e| {
+            Expr::binary(BinOp::Pow, e, Expr::IntLit(-3))
+        }),
+        ("negative operand", |e| {
+            Expr::binary(BinOp::Mul, e, Expr::RealLit(-0.5))
+        }),
+        ("intrinsic", |e| Expr::Intrinsic {
+            func: Intrinsic::Abs,
+            args: vec![e],
+        }),
+    ];
+    let base = parse("subroutine s(x, y)\nreal x, y\ny = x\nend")
+        .unwrap()
+        .units
+        .remove(0);
+    let limit = MAX_EXPR_DEPTH as usize;
+    for (shape, wrap) in shapes {
+        let (mut accepted, mut rejected) = (0, 0);
+        let mut e = x();
+        for _ in 0..limit + 2 {
+            e = wrap(e);
+            let mut sub = base.clone();
+            let Stmt::Assign { value, .. } = &mut sub.body[0] else {
+                unreachable!()
+            };
+            *value = e.clone();
+            let valid = validate_emittable(&sub).is_ok();
+            let reparsed = parse(&sub.to_string()).is_ok();
+            assert_eq!(valid, reparsed, "{shape}: validator and parser disagree");
+            if valid {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{shape} never crossed the limit"
+        );
+    }
+}
